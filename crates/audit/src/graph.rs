@@ -37,9 +37,9 @@ use crate::rules::{self, Finding, ROOT_RULES};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Method names that allocate (ban set for `hotpath-alloc`).
-const ALLOC_METHODS: &[&str] = &["clone", "push", "to_string"];
+const ALLOC_METHODS: &[&str] = &["clone", "collect", "push", "to_string", "to_vec"];
 /// `Type::fn` paths that allocate.
-const ALLOC_PATHS: &[(&str, &str)] = &[("Vec", "new"), ("Box", "new")];
+const ALLOC_PATHS: &[(&str, &str)] = &[("Vec", "new"), ("Vec", "with_capacity"), ("Box", "new")];
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 /// Macros that panic (kept in sync with the `panic-macro` rule).
@@ -835,6 +835,40 @@ mod tests {
             hits[0].message.contains("hot_loop -> stage"),
             "{}",
             hits[0].message
+        );
+    }
+
+    #[test]
+    fn hotpath_alloc_flags_collect_to_vec_and_with_capacity() {
+        let units = vec![unit(
+            "crates/core/src/hot.rs",
+            "// pcm-audit: root(hotpath-alloc) — test root\n\
+             pub fn hot_loop(xs: &[u16]) -> usize { gather(xs) + copy(xs) + reserve(xs) }\n\
+             fn gather(xs: &[u16]) -> usize { xs.iter().copied().collect::<Vec<u16>>().len() }\n\
+             fn copy(xs: &[u16]) -> usize { xs.to_vec().len() }\n\
+             fn reserve(xs: &[u16]) -> usize { let v: Vec<u16> = Vec::with_capacity(xs.len()); v.capacity() }\n\
+             fn buffered(xs: &[u16]) -> usize { let mut b = [0u16; 4]; b[..xs.len()].copy_from_slice(xs); b.len() }\n",
+        )];
+        let f = run(units);
+        let mut hits: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == "hotpath-alloc")
+            .map(|f| {
+                (
+                    f.line,
+                    f.message.split('`').nth(1).unwrap_or("").to_string(),
+                )
+            })
+            .collect();
+        hits.sort();
+        assert_eq!(
+            hits,
+            vec![
+                (3, ".collect()".to_string()),
+                (4, ".to_vec()".to_string()),
+                (5, "Vec::with_capacity".to_string()),
+            ],
+            "{f:?}"
         );
     }
 

@@ -242,6 +242,7 @@ pub fn compress_best_batch_into(
 ) -> Vec<(Method, usize)> {
     let mut results = [(Method::Uncompressed, 0usize); BATCH_LANES];
     let n = compress_best_batch(batch, out, &mut results[..batch.len()]);
+    // pcm-audit: allow(hotpath-alloc) — the one per-call results Vec this API returns; compress_best_batch is the allocation-free twin
     results[..n].to_vec()
 }
 

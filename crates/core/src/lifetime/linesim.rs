@@ -122,9 +122,11 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
     } else {
         1
     };
+    // pcm-audit: allow(hotpath-alloc) — one up-front reservation per line, outside the write loop
     let mut events: Vec<u64> = Vec::with_capacity(max_events);
     let mut first_death = None;
     let mut faults_at_death = None;
+    // pcm-audit: allow(hotpath-alloc) — one up-front reservation per line, outside the write loop
     let mut death_fault_counts: Vec<u32> = Vec::with_capacity(max_events / 2 + 1);
     let mut flip_sum: u64 = 0;
     let mut sampled: u64 = 0;

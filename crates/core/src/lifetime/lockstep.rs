@@ -393,10 +393,10 @@ pub(crate) fn simulate_line_batch_lockstep(
     );
     let mut stats = LockstepStats::default();
     if !cfg.system.kind.compresses() {
-        // pcm-audit: allow(hotpath-alloc) — one record Vec per batch
         let records = seeds
             .iter()
             .map(|&s| simulate_line_with(cfg, s, scratch))
+            // pcm-audit: allow(hotpath-alloc) — one record Vec per batch
             .collect();
         return (records, stats);
     }

@@ -84,17 +84,52 @@ impl EccEngine {
         }
     }
 
+    /// A one-byte name of the scheme, distinct for distinct schemes: ECP
+    /// by its entry count (`Ecp::new` bounds it to `1..=51`), the rest
+    /// above that range. Keys the line's [`EpochMemo`].
+    fn tag(&self) -> u8 {
+        match self.choice {
+            EccChoice::Ecp6 => 6,
+            EccChoice::EcpN(n) => n,
+            EccChoice::Safer32 => 64,
+            EccChoice::Aegis17x31 => 65,
+            EccChoice::Secded => 66,
+            EccChoice::Coset => 67,
+        }
+    }
+
+    /// `true` for the partition schemes, whose encode splits into a
+    /// position-only plan and a per-write apply step.
+    fn plans(&self) -> bool {
+        matches!(self.choice, EccChoice::Safer32 | EccChoice::Aegis17x31)
+    }
+
+    /// The position-only encode plan over the window faults: SAFER's
+    /// subset mask or the Aegis partition id (`None` when no partition
+    /// isolates every fault, or for schemes without a plan).
+    fn plan(&self, faults: &FaultMap) -> Option<u16> {
+        match self.choice {
+            EccChoice::Safer32 => self.safer.plan(faults),
+            // The shared 17×31 grid has 18 partitions: the id fits a u16.
+            EccChoice::Aegis17x31 => self.aegis.plan(faults).map(|k| k as u16),
+            _ => None,
+        }
+    }
+
     /// Encodes `target` around the given (window-restricted) faults.
     ///
-    /// Payload-transforming schemes also see the currently `stored` line
-    /// and the window mask, so they can pick the cheapest equivalent
-    /// vector; plain correction schemes ignore both.
+    /// Partition schemes apply `plan` (from [`plan`](Self::plan) over the
+    /// same faults); the others ignore it. Payload-transforming schemes
+    /// also see the currently `stored` line and the window mask, so they
+    /// can pick the cheapest equivalent vector; plain correction schemes
+    /// ignore both.
     fn encode(
         &self,
         target: &Line512,
         stored: &Line512,
         window_mask: &Line512,
         faults: &FaultMap,
+        plan: Option<u16>,
     ) -> Result<(Line512, EccCode), pcm_ecc::EccError> {
         match self.choice {
             EccChoice::Ecp6 | EccChoice::EcpN(_) => self
@@ -103,11 +138,11 @@ impl EccEngine {
                 .map(|(s, c)| (s, EccCode::Ecp(c))),
             EccChoice::Safer32 => self
                 .safer
-                .write(target, faults)
+                .apply(plan, target, faults)
                 .map(|(s, c)| (s, EccCode::Safer(c))),
             EccChoice::Aegis17x31 => self
                 .aegis
-                .write(target, faults)
+                .apply(plan.map(u32::from), target, faults)
                 .map(|(s, c)| (s, EccCode::Aegis(c))),
             EccChoice::Secded => self
                 .secded
@@ -192,6 +227,107 @@ pub struct MetaUpdateCounts {
     pub size: u64,
 }
 
+/// `offset` byte of an [`EpochMemo`] placement: no window fits that size.
+const NO_OFFSET: u8 = DATA_BYTES as u8;
+/// [`EpochMemo::plan`] value: no partition isolates every window fault.
+const NO_PLAN: u16 = u16::MAX;
+
+/// Fault-dependent work a line reuses until its fault set grows: the
+/// Comp+WF sliding placements and the SAFER/Aegis partition plan.
+///
+/// The epoch is `faults().count()`. Faults are insert-only, and the count
+/// also sees cells killed by fast-forward wear
+/// ([`ManagedLine::add_wear_bulk`]), which a counter bumped by writes
+/// alone would miss. Every entry depends on fault *positions* only; the
+/// data-dependent encode (inversion bits, ECP replacement bits, the
+/// coset tag) stays per write. Packed into 16 bytes so the per-line state
+/// barely grows.
+#[derive(Debug, Clone, Copy)]
+struct EpochMemo {
+    /// Fault count the entries were computed under (`u16::MAX`: none yet).
+    epoch: u16,
+    /// [`EccEngine::tag`] of the scheme the entries were computed with.
+    scheme: u8,
+    /// Search start of `places` (see [`slide_key`]).
+    grid: u8,
+    /// Sliding placements as `[len, offset]`, most recently used first;
+    /// `len == 0` marks an empty slot, `offset == NO_OFFSET` a size that
+    /// fits nowhere.
+    places: [[u8; 2]; 4],
+    /// Window `[offset, len]` that `plan` was computed for (`len == 0`:
+    /// none).
+    plan_window: [u8; 2],
+    /// [`EccEngine::plan`] for `plan_window`, `NO_PLAN` for `None`.
+    plan: u16,
+}
+
+impl EpochMemo {
+    const EMPTY: EpochMemo = EpochMemo {
+        epoch: u16::MAX,
+        scheme: 0,
+        grid: 0,
+        places: [[0; 2]; 4],
+        plan_window: [0; 2],
+        plan: NO_PLAN,
+    };
+
+    /// Drops every entry unless it was computed under `epoch` with
+    /// `scheme`.
+    fn sync(&mut self, epoch: u16, scheme: u8) {
+        if self.epoch != epoch || self.scheme != scheme {
+            *self = EpochMemo {
+                epoch,
+                scheme,
+                ..EpochMemo::EMPTY
+            };
+        }
+    }
+
+    /// The remembered placement of a `len`-byte payload searched from
+    /// `grid`, moved to the front; `None` on a miss.
+    fn place(&mut self, grid: u8, len: u8) -> Option<Option<usize>> {
+        if self.grid != grid {
+            self.grid = grid;
+            self.places = EpochMemo::EMPTY.places;
+            return None;
+        }
+        let hit = self.places.iter().position(|p| p[0] == len)?;
+        self.places[..=hit].rotate_right(1);
+        let offset = self.places[0][1];
+        Some((offset != NO_OFFSET).then_some(offset as usize))
+    }
+
+    /// Records a placement found from the current grid, evicting the
+    /// least recently used one.
+    fn remember_place(&mut self, len: u8, offset: Option<usize>) {
+        self.places.rotate_right(1);
+        self.places[0] = [len, offset.map_or(NO_OFFSET, |o| o as u8)];
+    }
+}
+
+/// Validates a sliding search and names it in the [`EpochMemo`]: the
+/// payload length plus one byte holding `preferred` rounded down to the
+/// `step` grid, shifted left once, with `step` as its lowest set bit (the
+/// rounded offset is a multiple of `step`, so the shifted one is a
+/// multiple of `2 * step` and both are recoverable).
+///
+/// # Panics
+///
+/// As [`window::find_offset_with_step`], so a memo hit panics exactly
+/// where a fresh search would.
+fn slide_key(len: usize, preferred: usize, step: usize) -> (u8, u8) {
+    assert!(preferred < DATA_BYTES, "preferred offset must be < 64");
+    assert!(
+        (1..=DATA_BYTES).contains(&len),
+        "window must be 1..=64 bytes"
+    );
+    assert!(
+        step.is_power_of_two() && DATA_BYTES % step == 0,
+        "step must be a power of two dividing 64, got {step}"
+    );
+    (len as u8, ((preferred / step * step) << 1 | step) as u8)
+}
+
 /// One physical line: cells, ECC state, and window metadata.
 #[derive(Debug, Clone)]
 pub struct ManagedLine {
@@ -202,6 +338,7 @@ pub struct ManagedLine {
     size: usize,
     dead: bool,
     valid: bool,
+    memo: EpochMemo,
     meta_updates: MetaUpdateCounts,
 }
 
@@ -225,6 +362,7 @@ impl ManagedLine {
             size: 0,
             dead: false,
             valid: false,
+            memo: EpochMemo::EMPTY,
             meta_updates: MetaUpdateCounts::default(),
         }
     }
@@ -243,6 +381,7 @@ impl ManagedLine {
             size: 0,
             dead: false,
             valid: false,
+            memo: EpochMemo::EMPTY,
             meta_updates: MetaUpdateCounts::default(),
         }
     }
@@ -259,6 +398,7 @@ impl ManagedLine {
             size: 0,
             dead: false,
             valid: false,
+            memo: EpochMemo::EMPTY,
             meta_updates: MetaUpdateCounts::default(),
         }
     }
@@ -317,8 +457,11 @@ impl ManagedLine {
 
     /// Checks whether a payload of `len` bytes could be stored (used for
     /// dead-block resurrection): returns the offset that would be used.
+    ///
+    /// Takes `&mut self` because a sliding search is remembered until the
+    /// line's fault set grows.
     pub fn can_host(
-        &self,
+        &mut self,
         engine: &EccEngine,
         len: usize,
         preferred: usize,
@@ -330,7 +473,7 @@ impl ManagedLine {
     /// [`can_host`](Self::can_host) at a coarser window-placement
     /// granularity (see [`window::find_offset_with_step`]).
     pub(crate) fn can_host_with_step(
-        &self,
+        &mut self,
         engine: &EccEngine,
         len: usize,
         preferred: usize,
@@ -338,13 +481,49 @@ impl ManagedLine {
         step: usize,
     ) -> Option<usize> {
         if slide {
-            window::find_offset_with_step(engine.scheme(), self.faults(), len, preferred, step)
+            let (len_key, grid) = slide_key(len, preferred, step);
+            if let Some(hit) = self.memo(engine).place(grid, len_key) {
+                return hit;
+            }
+            let found =
+                window::find_offset_with_step(engine.scheme(), self.faults(), len, preferred, step);
+            self.memo.remember_place(len_key, found);
+            found
         } else {
             let preferred = preferred / step * step;
             let mut buf = [0u16; pcm_util::DATA_BITS];
             let faults = window::faults_in_buf(self.faults(), preferred, len, &mut buf);
             engine.scheme().can_store(faults).then_some(preferred)
         }
+    }
+
+    /// The line's [`EpochMemo`], emptied first if the fault set or the
+    /// scheme changed since its entries were computed.
+    fn memo(&mut self, engine: &EccEngine) -> &mut EpochMemo {
+        let epoch = self.faults().count() as u16;
+        self.memo.sync(epoch, engine.tag());
+        &mut self.memo
+    }
+
+    /// The encode plan for the window `[offset, offset + len)`, reused
+    /// while the fault epoch and the window are unchanged.
+    fn plan(
+        &mut self,
+        engine: &EccEngine,
+        offset: usize,
+        len: usize,
+        window_faults: &FaultMap,
+    ) -> Option<u16> {
+        if !engine.plans() {
+            return None;
+        }
+        let memo = self.memo(engine);
+        let window = [offset as u8, len as u8];
+        if memo.plan_window != window {
+            memo.plan_window = window;
+            memo.plan = engine.plan(window_faults).unwrap_or(NO_PLAN);
+        }
+        (memo.plan != NO_PLAN).then_some(memo.plan)
     }
 
     /// Clears the dead flag after a successful resurrection check; the
@@ -417,7 +596,7 @@ impl ManagedLine {
         // one newly-stuck cell, so 512 iterations bound the loop.
         loop {
             report.attempts += 1;
-            let offset = match self.locate(engine, len, preferred, slide, step) {
+            let offset = match self.can_host_with_step(engine, len, preferred, slide, step) {
                 Some(o) => o,
                 None => {
                     self.dead = true;
@@ -436,18 +615,20 @@ impl ManagedLine {
             // Program only the window cells; everything outside keeps its
             // current physical value (don't-care, zero flips).
             let mask = window::window_mask(offset, len);
-            let (encoded, code) = match engine.encode(&target, &stored_now, &mask, &window_faults) {
-                Ok(v) => v,
-                // can_store passed but the data-dependent encode failed
-                // (cannot happen for the schemes here, guarded anyway).
-                Err(_) => {
-                    self.dead = true;
-                    self.valid = false;
-                    return Err(LineDead {
-                        faults: self.faults().count(),
-                    });
-                }
-            };
+            let plan = self.plan(engine, offset, len, &window_faults);
+            let (encoded, code) =
+                match engine.encode(&target, &stored_now, &mask, &window_faults, plan) {
+                    Ok(v) => v,
+                    // can_store passed but the data-dependent encode failed
+                    // (cannot happen for the schemes here, guarded anyway).
+                    Err(_) => {
+                        self.dead = true;
+                        self.valid = false;
+                        return Err(LineDead {
+                            faults: self.faults().count(),
+                        });
+                    }
+                };
             let stored_target = (encoded & mask) | (self.wear.stored() & !mask);
             let outcome = self.wear.write(&stored_target);
             report.flips += outcome.flips;
@@ -486,17 +667,6 @@ impl ManagedLine {
             self.method,
             window::extract(&corrected, self.offset, self.size),
         ))
-    }
-
-    fn locate(
-        &self,
-        engine: &EccEngine,
-        len: usize,
-        preferred: usize,
-        slide: bool,
-        step: usize,
-    ) -> Option<usize> {
-        self.can_host_with_step(engine, len, preferred, slide, step)
     }
 }
 
@@ -732,5 +902,281 @@ mod tests {
             flips[1],
             flips[0]
         );
+    }
+
+    /// From-scratch twin of [`ManagedLine`]: the same write loop over the
+    /// same cell model, but every placement runs
+    /// [`window::find_offset_with_step`] afresh and every encode runs the
+    /// scheme's full `write`, so nothing carries over between writes.
+    struct FromScratch {
+        wear: LineWear,
+        code: EccCode,
+        offset: usize,
+        size: usize,
+        valid: bool,
+        dead: bool,
+    }
+
+    impl FromScratch {
+        fn locate(
+            &self,
+            choice: EccChoice,
+            len: usize,
+            preferred: usize,
+            slide: bool,
+            step: usize,
+        ) -> Option<usize> {
+            let faults = self.wear.faults();
+            if slide {
+                window::find_offset_with_step(choice.scheme(), faults, len, preferred, step)
+            } else {
+                let preferred = preferred / step * step;
+                let in_window = window::faults_in(faults, preferred, len);
+                choice.scheme().can_store(&in_window).then_some(preferred)
+            }
+        }
+
+        fn encode(
+            choice: EccChoice,
+            target: &Line512,
+            stored: &Line512,
+            mask: &Line512,
+            faults: &FaultMap,
+        ) -> Result<(Line512, EccCode), pcm_ecc::EccError> {
+            match choice {
+                EccChoice::Ecp6 | EccChoice::EcpN(_) => {
+                    let entries = if let EccChoice::EcpN(n) = choice {
+                        n as u32
+                    } else {
+                        6
+                    };
+                    Ecp::new(entries)
+                        .write(target, faults)
+                        .map(|(s, c)| (s, EccCode::Ecp(c)))
+                }
+                EccChoice::Safer32 => registry::shared_safer32()
+                    .write(target, faults)
+                    .map(|(s, c)| (s, EccCode::Safer(c))),
+                EccChoice::Aegis17x31 => registry::shared_aegis_17x31()
+                    .write(target, faults)
+                    .map(|(s, c)| (s, EccCode::Aegis(c))),
+                EccChoice::Secded => Secded::new()
+                    .write(target, faults)
+                    .map(|(s, c)| (s, EccCode::Secded(c))),
+                EccChoice::Coset => {
+                    let coset = registry::shared_coset();
+                    let (transformed, tag) = coset.encode_payload(target, stored, mask, faults);
+                    coset
+                        .write(&transformed, faults)
+                        .map(|(s, c)| (s, EccCode::Coset(tag, c)))
+                }
+            }
+        }
+
+        fn write(
+            &mut self,
+            choice: EccChoice,
+            bytes: &[u8],
+            preferred: usize,
+            slide: bool,
+            step: usize,
+        ) -> Result<LineWriteReport, LineDead> {
+            let len = bytes.len();
+            let mut report = LineWriteReport {
+                offset: preferred,
+                flips: 0,
+                flip_mask: Line512::zero(),
+                new_faults: 0,
+                attempts: 0,
+                slid: false,
+            };
+            loop {
+                report.attempts += 1;
+                let located = self.locate(choice, len, preferred, slide, step);
+                let dead = LineDead {
+                    faults: self.wear.faults().count(),
+                };
+                let Some(offset) = located else {
+                    (self.dead, self.valid) = (true, false);
+                    return Err(dead);
+                };
+                report.slid |= offset != preferred;
+                report.offset = offset;
+                let stored = self.wear.stored();
+                let mask = window::window_mask(offset, len);
+                let target = window::place(&stored, offset, bytes);
+                let faults = window::fault_map_in(self.wear.faults(), offset, len);
+                let Ok((encoded, code)) = Self::encode(choice, &target, &stored, &mask, &faults)
+                else {
+                    (self.dead, self.valid) = (true, false);
+                    return Err(dead);
+                };
+                let outcome = self.wear.write(&((encoded & mask) | (stored & !mask)));
+                report.flips += outcome.flips;
+                report.flip_mask = report.flip_mask | outcome.flip_mask;
+                report.new_faults += outcome.new_faults.len() as u32;
+                if !outcome.new_faults.iter().any(|f| mask.bit(f.pos as usize)) {
+                    (self.code, self.offset, self.size) = (code, offset, len);
+                    (self.valid, self.dead) = (true, false);
+                    return Ok(report);
+                }
+            }
+        }
+    }
+
+    /// The epoch memo is invisible: a memoized line and a from-scratch
+    /// twin fed the same traffic, fault injections and revivals agree on
+    /// every placement probe, write report, code word, stored line and
+    /// read, for every scheme, with and without sliding, at two grids.
+    #[test]
+    fn epoch_memo_matches_from_scratch_placement_and_encode() {
+        use rand::RngExt;
+        let choices = [
+            EccChoice::Ecp6,
+            EccChoice::EcpN(3),
+            EccChoice::Safer32,
+            EccChoice::Aegis17x31,
+            EccChoice::Secded,
+            EccChoice::Coset,
+        ];
+        let mut deaths = 0;
+        let mut revivals = 0;
+        let mut injected = 0;
+        for (ci, &choice) in choices.iter().enumerate() {
+            for slide in [false, true] {
+                for step in [1usize, 8] {
+                    let seed = 0xE90C_u64 ^ (ci as u64) << 8 ^ (slide as u64) << 4 ^ step as u64;
+                    let mut rng = seeded_rng(seed);
+                    // One cell in six is weak enough to die within the run.
+                    let endurance: Vec<u32> = (0..pcm_util::DATA_BITS)
+                        .map(|_| {
+                            if rng.random_ratio(1, 6) {
+                                rng.random_range(0..400u32)
+                            } else {
+                                1 << 30
+                            }
+                        })
+                        .collect();
+                    let engine = EccEngine::new(choice);
+                    let mut line = ManagedLine::with_endurance(endurance.clone());
+                    let mut twin = FromScratch {
+                        wear: LineWear::with_endurance(endurance),
+                        code: EccCode::None,
+                        offset: 0,
+                        size: 0,
+                        valid: false,
+                        dead: false,
+                    };
+                    let mut preferred = 0;
+                    let sizes = [64usize, 8, 16, 24, 40];
+                    for w in 0..600 {
+                        let ctx = format!("{choice:?} slide {slide} step {step} write {w}");
+                        if w % 16 == 0 {
+                            preferred = rng.random_range(0..DATA_BYTES);
+                        }
+                        let len = if rng.random_ratio(1, 8) {
+                            rng.random_range(1..=DATA_BYTES)
+                        } else {
+                            sizes[rng.random_range(0..sizes.len())]
+                        };
+                        if line.is_dead() {
+                            // Resurrection check, then revive on a fit.
+                            let fit = line.can_host_with_step(&engine, len, preferred, slide, step);
+                            assert_eq!(
+                                fit,
+                                twin.locate(choice, len, preferred, slide, step),
+                                "{ctx}"
+                            );
+                            if fit.is_none() {
+                                continue;
+                            }
+                            line.revive();
+                            twin.dead = false;
+                            twin.valid = false;
+                            revivals += 1;
+                        }
+                        // The fallback probes the campaign runs before a write.
+                        for probe in [DATA_BYTES, len] {
+                            assert_eq!(
+                                line.can_host_with_step(&engine, probe, preferred, slide, step),
+                                twin.locate(choice, probe, preferred, slide, step),
+                                "{ctx}: probe {probe}"
+                            );
+                        }
+                        let bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+                        let payload = Payload {
+                            method: Method::Uncompressed,
+                            bytes: &bytes,
+                        };
+                        let got = line.write_with_step(&engine, payload, preferred, slide, step);
+                        let want = twin.write(choice, &bytes, preferred, slide, step);
+                        assert_eq!(got, want, "{ctx}");
+                        deaths += got.is_err() as u32;
+                        assert_eq!(line.code, twin.code, "{ctx}");
+                        assert_eq!(line.wear().stored(), twin.wear.stored(), "{ctx}");
+                        assert_eq!(line.faults(), twin.wear.faults(), "{ctx}");
+                        let twin_read = (twin.valid && !twin.dead).then(|| {
+                            let corrected = engine.decode(&twin.wear.stored(), &twin.code);
+                            (
+                                Method::Uncompressed,
+                                window::extract(&corrected, twin.offset, twin.size),
+                            )
+                        });
+                        assert_eq!(line.read(&engine), twin_read, "{ctx}");
+                        if let Ok(r) = got {
+                            assert_eq!(twin_read.map(|(_, b)| b), Some(bytes), "{ctx}: round trip");
+                            if slide {
+                                assert!(
+                                    line.memo.places.iter().any(|p| p[0] == len as u8),
+                                    "{ctx}: placement memoized at offset {}",
+                                    r.offset
+                                );
+                            }
+                        }
+                        // Fast-forward wear between writes, as the campaign
+                        // engine does: it creates faults no write reports.
+                        if w % 8 == 7 {
+                            let mut grants = [0u32; pcm_util::DATA_BITS];
+                            for g in grants.iter_mut() {
+                                if rng.random_ratio(1, 4) {
+                                    *g = rng.random_range(0..40);
+                                }
+                            }
+                            let before = line.faults().count();
+                            line.add_wear_bulk(&grants);
+                            twin.wear.add_wear_bulk(&grants);
+                            injected += line.faults().count() - before;
+                            assert_eq!(line.faults(), twin.wear.faults(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        // The run must reach the paths under test, not just healthy writes.
+        assert!(
+            deaths > 20 && revivals > 10 && injected > 100,
+            "deaths {deaths} revivals {revivals} injected {injected}"
+        );
+    }
+
+    #[test]
+    fn epoch_memo_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<EpochMemo>(), 16);
+    }
+
+    #[test]
+    fn slide_keys_are_distinct_per_grid_start() {
+        let mut seen = std::collections::BTreeMap::new();
+        for step in [1usize, 2, 4, 8, 16, 32, 64] {
+            for preferred in 0..DATA_BYTES {
+                let (_, grid) = slide_key(1, preferred, step);
+                let start = (preferred / step * step, step);
+                assert_eq!(
+                    *seen.entry(grid).or_insert(start),
+                    start,
+                    "grid byte {grid}"
+                );
+            }
+        }
     }
 }

@@ -81,9 +81,8 @@ proptest! {
         let expected: Vec<u16> = in_window.iter().map(|f| f.pos).collect();
         prop_assert_eq!(&positions, &expected, "faults_in must list positions in bit order");
 
-        let mut scratch = Vec::new();
-        window::faults_in_scratch(&faults, offset, len, &mut scratch);
-        prop_assert_eq!(&scratch, &expected);
+        let mut buf = [0u16; pcm_util::DATA_BITS];
+        prop_assert_eq!(window::faults_in_buf(&faults, offset, len, &mut buf), &expected[..]);
 
         let map = window::fault_map_in(&faults, offset, len);
         prop_assert_eq!(map.count() as usize, in_window.len());

@@ -140,24 +140,37 @@ impl Aegis {
         None
     }
 
-    /// Stores `data` into a line with the given faults; see
-    /// [`Safer::write`](crate::Safer::write) for the shared semantics
-    /// (deterministic partition first, data-dependent agreement as a
-    /// fallback).
+    /// The position-only half of [`write`](Self::write): the partition
+    /// that isolates every fault in `faults` ([`find_partition`] over
+    /// their positions); see [`Safer::plan`](crate::Safer::plan).
+    ///
+    /// [`find_partition`]: Self::find_partition
+    pub fn plan(&self, faults: &FaultMap) -> Option<u32> {
+        let mut buf = [0u16; DATA_BITS];
+        self.find_partition(faults.positions_into(&mut buf))
+    }
+
+    /// The data-dependent half of [`write`](Self::write): stores `data`
+    /// under `plan`, falling back to a partition whose same-group faults
+    /// agree for this data; see [`Safer::apply`](crate::Safer::apply).
     ///
     /// # Errors
     ///
     /// Returns [`EccError::TooManyFaults`] when no partition works for this
     /// data.
-    pub fn write(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` names a partition that does not isolate every
+    /// fault in `faults`.
+    pub fn apply(
         &self,
+        plan: Option<u32>,
         data: &Line512,
         faults: &FaultMap,
     ) -> Result<(Line512, AegisCode), EccError> {
-        let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
-        let chosen = self
-            .find_partition(&positions)
-            .or_else(|| (0..=self.t).find(|&k| self.inversions_for(k, data, faults).is_some()));
+        let chosen =
+            plan.or_else(|| (0..=self.t).find(|&k| self.inversions_for(k, data, faults).is_some()));
         let Some(k) = chosen else {
             return Err(EccError::TooManyFaults {
                 scheme: self.name(),
@@ -175,6 +188,23 @@ impl Aegis {
                 inversions,
             },
         ))
+    }
+
+    /// Stores `data` into a line with the given faults: [`plan`](Self::plan)
+    /// then [`apply`](Self::apply), with the semantics of
+    /// [`Safer::write`](crate::Safer::write) (deterministic partition
+    /// first, data-dependent agreement as a fallback).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EccError::TooManyFaults`] when no partition works for this
+    /// data.
+    pub fn write(
+        &self,
+        data: &Line512,
+        faults: &FaultMap,
+    ) -> Result<(Line512, AegisCode), EccError> {
+        self.apply(self.plan(faults), data, faults)
     }
 
     /// Reconstructs the original data from a physical line and its code.

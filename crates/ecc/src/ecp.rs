@@ -101,6 +101,7 @@ impl Ecp {
         let pairs = faults
             .iter()
             .map(|f| (f.pos, data.bit(f.pos as usize)))
+            // pcm-audit: allow(hotpath-alloc) — the replacement pairs are the stored per-line code word, not scratch; they escape into EcpCode
             .collect();
         Ok((stored, EcpCode { pairs }))
     }

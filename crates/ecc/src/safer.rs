@@ -69,6 +69,7 @@ fn extract_group(pos: u16, mask: u16) -> usize {
 fn subsets_of_size(k: u32) -> Vec<u16> {
     (0u16..1 << INDEX_BITS)
         .filter(|m| m.count_ones() == k)
+        // pcm-audit: allow(hotpath-alloc) — built once per process inside the subset_tables OnceLock (or at Safer::new)
         .collect()
 }
 
@@ -103,6 +104,7 @@ fn subset_tables(k: u32) -> &'static SubsetTables {
                 }
                 bits
             })
+            // pcm-audit: allow(hotpath-alloc) — built once per process inside this OnceLock
             .collect();
         SubsetTables {
             separators,
@@ -183,29 +185,40 @@ impl Safer {
         self.subsets.get(idx).copied()
     }
 
-    /// Stores `data` into a line with the given faults.
+    /// The position-only half of [`write`](Self::write): the partition
+    /// that isolates every fault in `faults` ([`find_partition`] over
+    /// their positions). It depends on no data, so a caller may reuse it
+    /// for every write while the fault positions stay the same.
     ///
-    /// Chooses a partition isolating every fault (falling back to any
-    /// partition whose same-group faults happen to *agree* on the required
-    /// inversion for this data, which lets SAFER opportunistically survive
-    /// beyond its guarantee), computes the per-group inversion bits, and
-    /// returns the physical line plus the [`SaferCode`].
+    /// [`find_partition`]: Self::find_partition
+    pub fn plan(&self, faults: &FaultMap) -> Option<u16> {
+        let mut buf = [0u16; DATA_BITS];
+        self.find_partition(faults.positions_into(&mut buf))
+    }
+
+    /// The data-dependent half of [`write`](Self::write): stores `data`
+    /// under `plan` (from [`plan`](Self::plan) on the same `faults`).
+    /// Without a plan it falls back to the first partition whose
+    /// same-group faults happen to *agree* on the required inversion for
+    /// this data, which lets SAFER opportunistically survive beyond its
+    /// guarantee.
     ///
     /// # Errors
     ///
     /// Returns [`EccError::TooManyFaults`] when no partition works for this
     /// data.
-    pub fn write(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` names a partition that does not isolate every
+    /// fault in `faults`.
+    pub fn apply(
         &self,
+        plan: Option<u16>,
         data: &Line512,
         faults: &FaultMap,
     ) -> Result<(Line512, SaferCode), EccError> {
-        let positions: Vec<u16> = faults.iter().map(|f| f.pos).collect();
-        // Prefer a deterministic partition; otherwise try data-dependent
-        // agreement.
-        let chosen = self
-            .find_partition(&positions)
-            .or_else(|| self.find_agreeing_partition(data, faults));
+        let chosen = plan.or_else(|| self.find_agreeing_partition(data, faults));
         let Some(mask) = chosen else {
             return Err(EccError::TooManyFaults {
                 scheme: self.name(),
@@ -223,6 +236,23 @@ impl Safer {
                 inversions,
             },
         ))
+    }
+
+    /// Stores `data` into a line with the given faults: [`plan`](Self::plan)
+    /// then [`apply`](Self::apply). Prefers a partition isolating every
+    /// fault, computes the per-group inversion bits, and returns the
+    /// physical line plus the [`SaferCode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EccError::TooManyFaults`] when no partition works for this
+    /// data.
+    pub fn write(
+        &self,
+        data: &Line512,
+        faults: &FaultMap,
+    ) -> Result<(Line512, SaferCode), EccError> {
+        self.apply(self.plan(faults), data, faults)
     }
 
     /// Reconstructs the original data from a physical line and its code.

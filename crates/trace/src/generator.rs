@@ -128,6 +128,7 @@ impl TraceGenerator {
 
     /// Generates a trace of `n` write-backs.
     pub fn generate(&mut self, n: usize) -> Trace {
+        // pcm-audit: allow(hotpath-alloc) — whole-trace builder; the line simulator reaches it only through name-based resolution of ContentClass::generate
         (0..n).map(|_| self.next_write()).collect()
     }
 
@@ -152,14 +153,15 @@ impl TraceGenerator {
                 // its characteristic size tier (Fig. 11).
                 let a = block.affinity as i64;
                 let max = ALL_CLASSES.len() as i64 - 1;
-                let mut candidates: Vec<usize> = [a - 1, a, a + 1]
-                    .into_iter()
-                    .filter(|&r| (0..=max).contains(&r))
-                    .map(|r| r as usize)
-                    .filter(|&r| ALL_CLASSES[r] != block.class)
-                    .collect();
-                candidates.dedup();
-                let rank = *candidates
+                let mut buf = [0usize; 3];
+                let mut n = 0;
+                for r in [a - 1, a, a + 1] {
+                    if (0..=max).contains(&r) && ALL_CLASSES[r as usize] != block.class {
+                        buf[n] = r as usize;
+                        n += 1;
+                    }
+                }
+                let rank = *buf[..n]
                     .choose(&mut self.rng)
                     .expect("at least one neighbour");
                 let class = ALL_CLASSES[rank];

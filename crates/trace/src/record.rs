@@ -105,6 +105,7 @@ impl Trace {
     /// Encodes the trace into the compact binary format
     /// (`magic, count, then (line u64 LE, 64 payload bytes) per record`).
     pub fn to_bytes(&self) -> Vec<u8> {
+        // pcm-audit: allow(hotpath-alloc) — trace-file encoder; the line simulator reaches it only through name-based resolution of Line512::to_bytes
         let mut buf = Vec::with_capacity(8 + self.records.len() * 72);
         buf.extend_from_slice(&MAGIC.to_le_bytes());
         buf.extend_from_slice(&(self.records.len() as u32).to_le_bytes());

@@ -113,6 +113,33 @@ impl FaultMap {
         self.positions
     }
 
+    /// The faulty positions in ascending order, written into a fixed stack
+    /// buffer (a line has at most [`DATA_BITS`] stuck cells); returns the
+    /// filled prefix. The allocation-free twin of collecting
+    /// [`iter`](Self::iter)'s positions.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pcm_util::fault::{FaultMap, StuckAt};
+    /// use pcm_util::DATA_BITS;
+    ///
+    /// let map: FaultMap = [
+    ///     StuckAt { pos: 100, value: false },
+    ///     StuckAt { pos: 3, value: true },
+    /// ].into_iter().collect();
+    /// let mut buf = [0u16; DATA_BITS];
+    /// assert_eq!(map.positions_into(&mut buf), &[3, 100]);
+    /// ```
+    pub fn positions_into<'a>(&self, buf: &'a mut [u16; DATA_BITS]) -> &'a [u16] {
+        let mut n = 0;
+        for p in self.positions.iter_ones() {
+            buf[n] = p as u16;
+            n += 1;
+        }
+        &buf[..n]
+    }
+
     /// Restricts the map to the positions selected by `mask`.
     ///
     /// # Examples

@@ -125,6 +125,7 @@ impl Wolfram {
     fn active_slots(&self) -> Vec<u64> {
         (0..self.inverse.len() as u64)
             .filter(|&p| self.inverse[p as usize].is_some())
+            // pcm-audit: allow(hotpath-alloc) — once per WoLFRaM epoch, not per write; the line write path reaches it only through name-based resolution of `write`
             .collect()
     }
 
@@ -136,6 +137,7 @@ impl Wolfram {
         let active = self.active_slots();
         self.target = (0..self.n)
             .map(|l| active[feistel_perm(l, self.n, key) as usize])
+            // pcm-audit: allow(hotpath-alloc) — once per WoLFRaM epoch, not per write; the line write path reaches it only through name-based resolution of `write`
             .collect();
     }
 

@@ -93,6 +93,20 @@ for ex in quickstart lifetime_campaign; do
 done
 echo "   ok"
 
+# Benchmark self-tests: the repo benchmark under perfbench/ is its own
+# Cargo workspace, so `cargo test --workspace` never runs its unit tests
+# (statistics, spans, RSS reader, metric lists against BENCHMARK.json).
+# It builds into the benchmark's target dir, leaving perfbench/ untouched.
+echo "== perfbench tests =="
+if ! CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" /usr/bin/timeout 1800 \
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml \
+    > results/BENCH_perfbench_tests.txt 2>&1; then
+  echo "   PERFBENCH TESTS FAILED (see results/BENCH_perfbench_tests.txt)" >&2
+  tail -n 20 results/BENCH_perfbench_tests.txt >&2
+  exit 1
+fi
+echo "   ok ($(grep -c '^test result: ok' results/BENCH_perfbench_tests.txt) test binaries)"
+
 # Hot-path benchmark: full calibrated run refreshes BENCH_hotpath.json;
 # --bench-smoke instead does a seconds-long sanity pass for the gate.
 # Either way the fresh run is ratcheted against the committed report
