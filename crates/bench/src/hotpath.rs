@@ -15,7 +15,10 @@
 //!    skewed job cost),
 //! 5. the serve engine's per-bank batched write path — a scripted traffic
 //!    replay through `Engine::run_script` (`serve/bank_batch`),
-//! 6. end-to-end campaign wall-clock.
+//! 6. Fig-9 Monte-Carlo points — injections/sec of `failure_probability`
+//!    for Aegis 17×31 and SAFER-32 at a 32-byte window near their 50%
+//!    failure transition (`mc/*`),
+//! 7. end-to-end campaign wall-clock.
 //!
 //! Every benchmark also folds its outputs into a seed-stable checksum, so
 //! two runs with the same `--seed` must agree on every non-timing field —
@@ -29,6 +32,7 @@ use pcm_core::lifetime::{
 };
 use pcm_core::{EccChoice, SystemConfig, SystemKind};
 use pcm_device::{diff_write, diff_write_batch, flip_n_write_batch, FlipNWrite};
+use pcm_ecc::{failure_probability, Aegis, HardErrorScheme, MonteCarlo, Safer};
 use pcm_serve::{Engine, ServeConfig, TrafficGen};
 use pcm_trace::{BlockStream, SpecApp};
 use pcm_util::{child_seed, seeded_rng, simd, Line512, LineBatch64, Pool, BATCH_LANES, DATA_BYTES};
@@ -627,6 +631,31 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         });
         g.finish();
         entries.push(("writes", checksum));
+    }
+
+    // --- 4c. mc: Fig-9 Monte-Carlo points ------------------------------
+    // One worker, a 32-byte window and 40 faults: Fig. 9 puts Aegis at a
+    // 0.54 and SAFER-32 at a 0.37 failure probability there, so the window
+    // search reaches the dense windows where the partition search is
+    // costliest. The checksum is the estimated probability itself.
+    {
+        let mc = MonteCarlo {
+            injections: if opts.smoke { 256 } else { 4_096 },
+            seed: child_seed(opts.seed, 700),
+            threads: 1,
+        };
+        let (safer, aegis) = (Safer::new(32), Aegis::new(17, 31));
+        let schemes: [(&str, &dyn HardErrorScheme); 2] = [("aegis", &aegis), ("safer32", &safer)];
+        for (name, scheme) in schemes {
+            let checksum = mix_f64(0, failure_probability(scheme, 32, 40, &mc));
+            let mut g = c.benchmark_group("mc");
+            g.throughput(Throughput::Elements(mc.injections as u64));
+            g.bench_function(format!("{name}/w32_e40"), |b| {
+                b.iter(|| failure_probability(scheme, 32, 40, &mc))
+            });
+            g.finish();
+            entries.push(("injections", checksum));
+        }
     }
 
     // --- micro-bench entries -------------------------------------------

@@ -14,14 +14,23 @@
 //! campaign wall-clock entries are not micro-benchmarks. The
 //! `campaign/lockstep` and `serve/bank_batch` micro-benchmarks *are*
 //! ratcheted — they pin the batched campaign and serve write paths so the
-//! lockstep win cannot silently regress. The floor factor is deliberately
-//! loose — the gate runs on shared, noisy machines — so it catches
-//! "accidentally deoptimized the hot loop 3×", not a 10% wobble.
+//! lockstep win cannot silently regress — and so are the `mc/*`
+//! Monte-Carlo points, which pin the table-driven partition search. The
+//! floor factor is deliberately loose — the gate runs on shared, noisy
+//! machines — so it catches "accidentally deoptimized the hot loop 3×",
+//! not a 10% wobble.
 
 use crate::hotpath::HotpathReport;
 
 /// Benchmark id prefixes the ratchet enforces a throughput floor on.
-pub const RATCHET_PREFIXES: [&str; 5] = ["linesim/", "kernels/", "batch/", "campaign/", "serve/"];
+pub const RATCHET_PREFIXES: [&str; 6] = [
+    "linesim/",
+    "kernels/",
+    "batch/",
+    "campaign/",
+    "serve/",
+    "mc/",
+];
 
 /// Default throughput floor: current must reach half the tracked rate.
 pub const DEFAULT_MIN_RATIO: f64 = 0.5;

@@ -13,6 +13,10 @@
 //!
 //! Like SAFER, each group carries an inversion bit that makes its (single)
 //! stuck cell agree with the data.
+//!
+//! The constructor tabulates the group of every position under every
+//! partition, so the partition search and the write path look groups up
+//! instead of dividing by `u` per fault.
 
 use crate::scheme::{EccError, HardErrorScheme};
 use pcm_util::fault::FaultMap;
@@ -34,6 +38,10 @@ use serde::{Deserialize, Serialize};
 pub struct Aegis {
     t: u32,
     u: u32,
+    /// Per partition: the group of every line position. Group indices stay
+    /// below 512 for every legal grid (a slope group is below `u`, or equals
+    /// the position when `u > 512`; a row is below `512 / u`).
+    groups: Vec<[u16; DATA_BITS]>,
     /// Per partition, per group: mask of line positions in that group.
     group_masks: Vec<Vec<Line512>>,
 }
@@ -78,13 +86,19 @@ impl Aegis {
         let mut aegis = Aegis {
             t,
             u,
+            groups: Vec::new(),
             group_masks: Vec::new(),
         };
-        aegis.group_masks = (0..=t)
-            .map(|k| {
+        aegis.groups = (0..=t)
+            .map(|k| std::array::from_fn(|pos| aegis.group(pos as u16, k) as u16))
+            .collect();
+        aegis.group_masks = aegis
+            .groups
+            .iter()
+            .map(|table| {
                 let mut per_group = vec![Line512::zero(); u as usize];
-                for pos in 0..DATA_BITS {
-                    per_group[aegis.group(pos as u16, k)].set_bit(pos, true);
+                for (pos, &g) in table.iter().enumerate() {
+                    per_group[g as usize].set_bit(pos, true);
                 }
                 per_group
             })
@@ -103,7 +117,8 @@ impl Aegis {
         (p % self.u, p / self.u)
     }
 
-    /// Group index of `pos` under partition `k` (`k == t` is horizontal).
+    /// Group index of `pos` under partition `k` (`k == t` is horizontal),
+    /// computed by division; [`new`](Self::new) tabulates it into `groups`.
     fn group(&self, pos: u16, k: u32) -> usize {
         let (x, y) = self.coords(pos);
         if k < self.t {
@@ -123,19 +138,19 @@ impl Aegis {
         if fault_positions.len() as u32 > self.u {
             return None;
         }
-        // Pairwise collision probe: fault counts stay small over a line's
-        // storable life, so O(f²) group comparisons beat allocating a
-        // per-group "seen" table on the per-write hot path.
-        'part: for k in 0..=self.t {
-            for (i, &pos) in fault_positions.iter().enumerate() {
-                let g = self.group(pos, k);
-                for &prior in &fault_positions[..i] {
-                    if self.group(prior, k) == g {
-                        continue 'part;
-                    }
+        // One table lookup per fault against a "group already taken"
+        // bitmap; the first collision moves on to the next partition.
+        'part: for (k, table) in self.groups.iter().enumerate() {
+            let mut seen = [0u64; 8];
+            for &pos in fault_positions {
+                let g = table[pos as usize] as usize;
+                let bit = 1u64 << (g % 64);
+                if seen[g / 64] & bit != 0 {
+                    continue 'part;
                 }
+                seen[g / 64] |= bit;
             }
-            return Some(k);
+            return Some(k as u32);
         }
         None
     }
@@ -227,9 +242,10 @@ impl Aegis {
         let mut inversions = vec![false; self.u as usize];
         // Dense "group already constrained" bitmap: group indices are
         // bounded by the 512 cell positions, so 8 words always suffice.
+        let table = &self.groups[k as usize];
         let mut fixed = [0u64; 8];
         for f in faults.iter() {
-            let g = self.group(f.pos, k);
+            let g = table[f.pos as usize] as usize;
             let needed = data.bit(f.pos as usize) != f.value;
             if fixed[g / 64] >> (g % 64) & 1 == 1 && inversions[g] != needed {
                 return None;

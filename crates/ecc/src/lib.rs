@@ -51,7 +51,7 @@ pub use coset::Coset;
 pub use ecp::Ecp;
 pub use montecarlo::{failure_probability, MonteCarlo};
 pub use safer::Safer;
-pub use scheme::{count_window_failures, find_window, EccError, HardErrorScheme};
+pub use scheme::{find_window, EccError, HardErrorScheme};
 pub use secded::Secded;
 
 #[cfg(test)]

@@ -8,9 +8,8 @@
 //! `(scheme, W, k)` point yields the failure probability
 //! (`1 − reliability`) curves of Fig. 9.
 
-use crate::scheme::{count_window_failures, HardErrorScheme};
-use pcm_util::simd::LineBatch64;
-use pcm_util::{child_seed, seeded_rng, Line512, Pool, BATCH_LANES, DATA_BITS};
+use crate::scheme::{find_window, HardErrorScheme};
+use pcm_util::{child_seed, seeded_rng, Line512, Pool, DATA_BITS};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
@@ -46,7 +45,9 @@ impl Default for MonteCarlo {
 }
 
 /// Samples `k` distinct fault positions in `0..512` (partial Fisher–Yates)
-/// into the caller-owned `out` buffer, sorted ascending.
+/// into the caller-owned `out` buffer, ascending. The positions are set in
+/// a line mask and read back in bit order, which sorts them without a
+/// comparison sort.
 fn sample_positions<R: rand::Rng>(
     rng: &mut R,
     k: usize,
@@ -61,9 +62,12 @@ fn sample_positions<R: rand::Rng>(
         let j = rng.random_range(i..DATA_BITS);
         scratch.swap(i, j);
     }
+    let mut mask = Line512::zero();
+    for &p in &scratch[..k] {
+        mask.set_bit(p as usize, true);
+    }
     out.clear();
-    out.extend_from_slice(&scratch[..k]);
-    out.sort_unstable();
+    out.extend(mask.iter_ones().map(|p| p as u16));
 }
 
 /// Estimates the probability that a block with `errors` uniformly-placed
@@ -100,55 +104,26 @@ pub(crate) fn failure_probability_on(
     // Work is split into fixed-size batches of injections seeded by batch
     // index, not by worker id, so the estimate is bit-identical for every
     // thread count (each injection sees the same RNG stream no matter which
-    // worker claims its batch, and u64 summation commutes). Within a batch,
-    // injections are independent by construction, so they are evaluated in
-    // waves of up to `BATCH_LANES`: positions are sampled per injection in
-    // RNG order (the stream is unchanged), transposed into `LineBatch64`
-    // fault masks, and the whole wave's window search runs through one
-    // `count_window_failures` sweep — whose per-lane verdict equals
-    // `find_window(..).is_none()` exactly. The shuffle scratch and the
-    // wave buffers live in per-worker scratch, reused across every batch a
-    // worker claims.
+    // worker claims its batch, and u64 summation commutes). The shuffle
+    // scratch and the position buffer live in per-worker scratch, reused
+    // across every batch a worker claims.
     const BATCH: usize = 1_024;
     let batches = mc.injections.div_ceil(BATCH);
 
     let per_batch: Vec<u64> = pool.map_indexed_with(
         batches,
         1,
-        || {
-            (
-                [0u16; DATA_BITS],
-                Vec::with_capacity(errors),
-                Vec::with_capacity(errors * BATCH_LANES),
-                Vec::with_capacity(BATCH_LANES),
-            )
-        },
-        |(scratch, positions, wave_positions, lane_ends), c| {
+        || ([0u16; DATA_BITS], Vec::with_capacity(errors)),
+        |(scratch, positions), c| {
             let lo = c * BATCH;
             let hi = (lo + BATCH).min(mc.injections);
             let mut rng = seeded_rng(child_seed(mc.seed, c as u64));
-            let mut fail = 0u64;
-            let mut remaining = hi - lo;
-            while remaining > 0 {
-                let wave = remaining.min(BATCH_LANES);
-                let mut masks = LineBatch64::new();
-                wave_positions.clear();
-                lane_ends.clear();
-                for _ in 0..wave {
+            (lo..hi)
+                .filter(|_| {
                     sample_positions(&mut rng, errors, scratch, positions);
-                    let mut mask = Line512::zero();
-                    for &p in positions.iter() {
-                        mask.set_bit(p as usize, true);
-                    }
-                    masks.push(&mask);
-                    wave_positions.extend_from_slice(positions);
-                    lane_ends.push(wave_positions.len());
-                }
-                fail +=
-                    count_window_failures(scheme, &masks, wave_positions, lane_ends, window_bytes);
-                remaining -= wave;
-            }
-            fail
+                    find_window(scheme, positions, window_bytes).is_none()
+                })
+                .count() as u64
         },
     );
 
@@ -298,15 +273,22 @@ mod tests {
     }
 
     #[test]
-    fn sample_positions_distinct_and_sorted() {
-        let mut rng = seeded_rng(8);
+    fn sample_positions_match_sorted_shuffle() {
+        // Same RNG stream into the sampler and into a plain Fisher–Yates
+        // shuffle + sort: identical ascending positions, call after call.
+        let (mut rng, mut twin) = (seeded_rng(8), seeded_rng(8));
         let mut scratch = [0u16; DATA_BITS];
         let mut pos = Vec::new();
-        for k in [0usize, 1, 64, 512] {
+        for k in [0usize, 1, 6, 64, 200, 511, 512, 17] {
             sample_positions(&mut rng, k, &mut scratch, &mut pos);
-            assert_eq!(pos.len(), k);
-            assert!(pos.windows(2).all(|w| w[0] < w[1]), "distinct & sorted");
-            assert!(pos.iter().all(|&p| (p as usize) < DATA_BITS));
+            let mut cells: Vec<u16> = (0..DATA_BITS as u16).collect();
+            for i in 0..k {
+                let j = twin.random_range(i..DATA_BITS);
+                cells.swap(i, j);
+            }
+            let mut want = cells[..k].to_vec();
+            want.sort_unstable();
+            assert_eq!(pos, want, "k = {k}");
         }
     }
 }

@@ -126,12 +126,27 @@ impl Safer {
         );
         let k = groups.trailing_zeros();
         let subsets = subsets_of_size(k);
+        // `planes[b]`: the positions whose index bit `b` is set. Splitting
+        // every group on each selected bit in ascending order yields the
+        // groups `extract_group` numbers, bit `i` of the group index being
+        // the `i`-th selected bit of the position.
+        let planes: [Line512; INDEX_BITS as usize] =
+            std::array::from_fn(|b| Line512::from_fn(|pos| pos >> b & 1 == 1));
         let group_masks = subsets
             .iter()
             .map(|&mask| {
                 let mut per_group = vec![Line512::zero(); groups as usize];
-                for pos in 0..DATA_BITS {
-                    per_group[extract_group(pos as u16, mask)].set_bit(pos, true);
+                per_group[0] = Line512::ones();
+                let mut n = 1;
+                for (b, plane) in planes.iter().enumerate() {
+                    if mask >> b & 1 == 0 {
+                        continue;
+                    }
+                    for g in 0..n {
+                        per_group[g | n] = per_group[g] & *plane;
+                        per_group[g] = per_group[g] & !*plane;
+                    }
+                    n <<= 1;
                 }
                 per_group
             })
