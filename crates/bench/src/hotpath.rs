@@ -9,8 +9,8 @@
 //! 2. `Line512` kernels — XOR/popcount, windowed popcount, byte rotation,
 //!    differential-write and Flip-N-Write encoding,
 //! 3. `simulate_line` throughput (simulated demand writes/sec) per
-//!    `SystemKind` × `EccChoice`, plus the lockstep batch driver pushing a
-//!    full 64-lane wave through `simulate_line_batch` (`campaign/lockstep`),
+//!    `SystemKind` × `EccChoice`, plus one campaign's worth of Comp+WF
+//!    lines through the per-line engine (`campaign/lines`),
 //! 4. `pcm_util::Pool` scheduling (threads ∈ {1, 2, 4, 8}, balanced vs.
 //!    skewed job cost),
 //! 5. the serve engine's per-bank batched write path — a scripted traffic
@@ -28,14 +28,14 @@
 
 use criterion::{Criterion, Throughput};
 use pcm_core::lifetime::{
-    run_campaign, simulate_line, simulate_line_batch, CampaignConfig, LineScratch, LineSimConfig,
+    run_campaign, simulate_line, simulate_line_with, CampaignConfig, LineScratch, LineSimConfig,
 };
 use pcm_core::{EccChoice, SystemConfig, SystemKind};
 use pcm_device::{diff_write, diff_write_batch, flip_n_write_batch, FlipNWrite};
 use pcm_ecc::{failure_probability, Aegis, HardErrorScheme, MonteCarlo, Safer};
 use pcm_serve::{Engine, ServeConfig, TrafficGen};
 use pcm_trace::{BlockStream, SpecApp};
-use pcm_util::{child_seed, seeded_rng, simd, Line512, LineBatch64, Pool, BATCH_LANES, DATA_BYTES};
+use pcm_util::{child_seed, seeded_rng, simd, Line512, LineBatch64, Pool, DATA_BYTES};
 use std::time::{Duration, Instant};
 
 /// Options of the `pcm-bench-hotpath` binary.
@@ -519,32 +519,32 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         entries.push(("writes", checksum));
     }
 
-    // --- 3b. campaign lockstep: one full wave through the batch driver -
-    // The unit the campaign runner hands each worker: a chunk of seeds
-    // driven through `simulate_line_batch` in lockstep. Smoke keeps the
-    // wave partial (16 lanes); the full run measures a complete 64-lane
-    // wave so lane-divergence cost is visible in the rate. The checksum
-    // folds every record in lane order — byte-identity with the scalar
-    // path is pinned separately by the differential tests, this pins the
-    // batch driver's own outputs across commits.
+    // --- 3b. campaign lines: the per-line unit of a campaign ----------
+    // The campaign runner hands each pool job one line, simulated on the
+    // worker's reused scratch. This drives 64 Comp+WF/milc seeds (16 in
+    // smoke) through that unit serially, so the rate measures the engine
+    // rather than the pool; the checksum folds every record in seed order.
     {
-        let lanes = if opts.smoke { 16 } else { BATCH_LANES };
+        let lines = if opts.smoke { 16 } else { 64 };
         let system = SystemConfig::new(SystemKind::CompWF).with_endurance_mean(endurance);
         let cfg = LineSimConfig::new(system, SpecApp::Milc.profile());
-        let seeds: Vec<u64> = (0..lanes)
+        let seeds: Vec<u64> = (0..lines)
             .map(|i| child_seed(opts.seed, 600 + i as u64))
             .collect();
         let mut scratch = LineScratch::new();
-        let recs = simulate_line_batch(&cfg, &seeds, &mut scratch);
+        let recs: Vec<_> = seeds
+            .iter()
+            .map(|&s| simulate_line_with(&cfg, s, &mut scratch))
+            .collect();
         let demand: u64 = recs.iter().map(|r| r.demand_writes).sum();
         let checksum = recs.iter().fold(0u64, |h, r| mix(h, record_checksum(r)));
         let mut g = c.benchmark_group("campaign");
         g.throughput(Throughput::Elements(demand));
-        g.bench_function("lockstep", |b| {
+        g.bench_function("lines", |b| {
             b.iter(|| {
-                simulate_line_batch(&cfg, &seeds, &mut scratch)
+                seeds
                     .iter()
-                    .map(|r| r.demand_writes)
+                    .map(|&s| simulate_line_with(&cfg, s, &mut scratch).demand_writes)
                     .sum::<u64>()
             })
         });

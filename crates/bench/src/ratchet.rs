@@ -12,10 +12,10 @@
 //! Only the kernel-shaped groups are ratcheted ([`RATCHET_PREFIXES`]):
 //! `scheduler/*` and `compress_best/*` wobble with container load and the
 //! campaign wall-clock entries are not micro-benchmarks. The
-//! `campaign/lockstep` and `serve/bank_batch` micro-benchmarks *are*
-//! ratcheted — they pin the batched campaign and serve write paths so the
-//! lockstep win cannot silently regress — and so are the `mc/*`
-//! Monte-Carlo points, which pin the table-driven partition search. The
+//! `campaign/lines` and `serve/bank_batch` micro-benchmarks *are*
+//! ratcheted — they pin the per-line campaign unit and the serve write
+//! path — and so are the `mc/*` Monte-Carlo points, which pin the
+//! table-driven partition search. The
 //! floor factor is deliberately loose — the gate runs on shared, noisy
 //! machines — so it catches "accidentally deoptimized the hot loop 3×",
 //! not a 10% wobble.

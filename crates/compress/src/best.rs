@@ -249,14 +249,14 @@ pub fn compress_best_batch_into(
 /// Fully allocation-free twin of [`compress_best_batch_into`]: per-lane
 /// `(method, payload_len)` results land in caller-owned `results` storage
 /// instead of a fresh `Vec`. Returns the number of lanes written. This is
-/// what the lockstep campaign rounds and the serve batch path call once
-/// per round; `compress_best_batch_into` delegates here.
+/// what the serve engine's batch path calls once per chunk of requests;
+/// `compress_best_batch_into` delegates here.
 ///
 /// # Panics
 ///
 /// Panics if `out` or `results` has fewer slots than the batch has live
 /// lanes.
-// pcm-audit: root(hotpath-alloc) — per-round compression stage of the lockstep drivers; everything lands in caller-owned buffers
+// pcm-audit: root(hotpath-alloc) — per-chunk compression stage of the serve batch path; everything lands in caller-owned buffers
 pub fn compress_best_batch(
     batch: &LineBatch64,
     out: &mut [[u8; DATA_BYTES]],

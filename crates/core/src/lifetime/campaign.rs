@@ -1,7 +1,7 @@
 //! Whole-memory lifetime campaigns over many independent lines.
 
-use super::linesim::{simulate_line_batch, LineRecord, LineScratch, LineSimConfig};
-use pcm_util::{child_seed, Pool, BATCH_LANES};
+use super::linesim::{simulate_line_with, LineRecord, LineScratch, LineSimConfig};
+use pcm_util::{child_seed, Pool};
 use serde::{Deserialize, Serialize};
 
 /// Assumed per-core IPC for the Table IV months conversion (see
@@ -103,25 +103,17 @@ pub fn run_campaign(cfg: &CampaignConfig) -> LifetimeResult {
     run_campaign_on(&Pool::new(cfg.threads), cfg)
 }
 
-/// [`run_campaign`] on a caller-provided pool. Lines drain from the pool's
-/// shared queue in whole batches (work-stealing, not static striping), so
-/// an early-dying batch frees its worker for the stragglers; per-line
-/// seeds are `child_seed(cfg.seed, i)` regardless of how batches land on
+/// [`run_campaign`] on a caller-provided pool. Each line is one pool job:
+/// workers pull the next line from the shared queue (work-stealing, not
+/// static striping), so a worker that lands cheap, early-dying lines takes
+/// on more of them. Per-line seeds are `child_seed(cfg.seed, i)` and
+/// records come back in seed order regardless of how lines land on
 /// workers, making results scheduling-invariant.
 pub fn run_campaign_on(pool: &Pool, cfg: &CampaignConfig) -> LifetimeResult {
     assert!(cfg.lines > 0, "need at least one line");
-    // Campaigns consume whole [`pcm_util::BATCH_LANES`]-line batches: one
-    // contiguous chunk of the seed stream per pool job, records spliced
-    // back in seed order — byte-identical to the per-line path.
-    let batches = cfg.lines.div_ceil(BATCH_LANES);
-    let record_batches: Vec<Vec<LineRecord>> =
-        pool.map_indexed_with(batches, 1, LineScratch::new, |scratch, b| {
-            let lo = b * BATCH_LANES;
-            let hi = (lo + BATCH_LANES).min(cfg.lines);
-            let seeds: Vec<u64> = (lo..hi).map(|i| child_seed(cfg.seed, i as u64)).collect();
-            simulate_line_batch(&cfg.line, &seeds, scratch)
-        });
-    let records: Vec<LineRecord> = record_batches.into_iter().flatten().collect();
+    let records = pool.map_indexed_with(cfg.lines, 1, LineScratch::new, |scratch, i| {
+        simulate_line_with(&cfg.line, child_seed(cfg.seed, i as u64), scratch)
+    });
     summarize(&records, cfg.line.max_writes)
 }
 
@@ -323,46 +315,30 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_campaign_matches_scalar_per_line_path() {
-        // The lockstep batch driver against the scalar reference, record
-        // for record: every worker count must splice the same records in
-        // the same order, and batch-unaligned line counts (one short of a
-        // batch, one over, two batches plus two) exercise the partial
-        // final batch.
-        use crate::lifetime::linesim::simulate_line_with;
+    fn campaign_matches_serial_per_line_records() {
+        // Line-granular scheduling against the serial reference: every
+        // worker count must splice the same records in seed order, from a
+        // single line (fewer jobs than workers) to 130.
         use pcm_util::child_seed;
 
         let system = SystemConfig::new(SystemKind::CompWF).with_endurance_mean(800.0);
         let mut line = LineSimConfig::new(system, SpecApp::Milc.profile());
         line.sample_writes = 8;
 
-        for lines in [63usize, 65, 130] {
+        for lines in [1usize, 63, 65, 130] {
             let mut scratch = LineScratch::new();
             let want: Vec<LineRecord> = (0..lines)
                 .map(|i| simulate_line_with(&line, child_seed(99, i as u64), &mut scratch))
                 .collect();
-            let want_summary = summarize(&want, line.max_writes);
-
-            // Record-level identity of the batch splitting itself (the
-            // exact chunks run_campaign_on hands the pool).
-            let got_records: Vec<LineRecord> = (0..lines.div_ceil(BATCH_LANES))
-                .flat_map(|b| {
-                    let lo = b * BATCH_LANES;
-                    let hi = (lo + BATCH_LANES).min(lines);
-                    let seeds: Vec<u64> = (lo..hi).map(|i| child_seed(99, i as u64)).collect();
-                    simulate_line_batch(&line, &seeds, &mut scratch)
-                })
-                .collect();
-            assert_eq!(got_records, want, "records diverged at lines={lines}");
-
+            let want = summarize(&want, line.max_writes);
             for threads in [1usize, 2, 4, 7] {
                 let mut cfg = CampaignConfig::new(line.clone(), 99);
                 cfg.lines = lines;
                 cfg.threads = threads;
-                let got = run_campaign(&cfg);
                 assert_eq!(
-                    got, want_summary,
-                    "campaign diverged from scalar path at lines={lines} threads={threads}"
+                    run_campaign(&cfg),
+                    want,
+                    "campaign diverged from serial records at lines={lines} threads={threads}"
                 );
             }
         }

@@ -4,7 +4,7 @@ use crate::line::{EccEngine, ManagedLine, Payload};
 use crate::payload::{choose_payload, HostMeta, PayloadBufs};
 use crate::system::SystemConfig;
 use pcm_trace::{BlockStream, WorkloadProfile};
-use pcm_util::{child_seed, seeded_rng, simd, DATA_BITS, DATA_BYTES};
+use pcm_util::{child_seed, seeded_rng, simd, Line512, DATA_BITS, DATA_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one accelerated line simulation.
@@ -188,11 +188,11 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
             .max(1);
         let k = (cfg.sample_writes as u64).min(seg);
 
-        // Real writes: establish the flip pattern of this segment. Flip
-        // masks land in a carry-save bit-plane accumulator and are only
-        // expanded to per-bit counts once, at the fast-forward boundary.
+        // Real writes: establish the flip pattern of this segment. Each
+        // flip mask bumps its bits' counters and joins `touched`, the only
+        // cells the fast-forward below can change.
         let mut counts = [0u32; DATA_BITS];
-        let mut flip_acc = simd::MaskAccumulator::new();
+        let mut touched = Line512::zero();
         let mut done: u64 = 0;
         let mut died = false;
         for _ in 0..k {
@@ -238,7 +238,8 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
                 Ok(r) => {
                     flip_sum += r.flips as u64;
                     sampled += 1;
-                    flip_acc.accumulate(&mut counts, &r.flip_mask.words());
+                    simd::mask_accumulate(&mut counts, &r.flip_mask.words());
+                    touched = touched | r.flip_mask;
                     meta.last_size = bytes.len();
                     done += 1;
                 }
@@ -267,35 +268,9 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         // Fast-forward the rest of the segment analytically, stopping at
         // the first projected cell failure so fault counts at death stay
         // write-accurate (no multi-fault overshoot within a segment).
-        let mut extra = seg - done;
+        let extra = seg - done;
         if extra > 0 && done > 0 {
-            flip_acc.drain_into(&mut counts);
-            // Stop at the first projected cell failure so fault counts at
-            // death stay write-accurate; the scan lives next to the wear
-            // slices in `LineWear` instead of making 512 accessor calls.
-            extra = line.wear().project_first_failure(&counts, done, extra);
-            // The wear grant depends only on the flip count `c` (extra and
-            // done are fixed for the segment) and `c` never exceeds `done`,
-            // so a small memo table replaces the per-cell f64 divide. A
-            // failure granted here lands exactly on the capped boundary;
-            // the next sampled write discovers and re-handles it.
-            let scale = |c: u32| ((c as u64 * extra) as f64 / done as f64).round() as u32;
-            let mut grants = [0u32; DATA_BITS];
-            if done <= 64 {
-                let mut memo: [Option<u32>; 65] = [None; 65];
-                for (pos, &c) in counts.iter().enumerate() {
-                    if c != 0 {
-                        grants[pos] = *memo[c as usize].get_or_insert_with(|| scale(c));
-                    }
-                }
-            } else {
-                for (pos, &c) in counts.iter().enumerate() {
-                    if c != 0 {
-                        grants[pos] = scale(c);
-                    }
-                }
-            }
-            line.add_wear_bulk(&grants);
+            let extra = line.fast_forward(&counts, &touched, done, extra);
             writes += extra;
             residency_left = residency_left.saturating_sub(extra);
         }
@@ -329,35 +304,6 @@ pub fn simulate_line_with(cfg: &LineSimConfig, seed: u64, scratch: &mut LineScra
         demand_writes: writes,
         horizon: cfg.max_writes,
     }
-}
-
-/// Simulates one batch of lines (at most [`pcm_util::BATCH_LANES`] seeds)
-/// in lockstep, returning records in seed order.
-///
-/// This is the campaign's unit of work: lines are handed to pool workers
-/// one whole batch at a time, and the lanes advance *together*, one
-/// sampled write per round — each round transposes every live lane's next
-/// trace write into [`pcm_util::simd::LineBatch64`] planes, compresses
-/// them through one `compress_best_batch` kernel call, and then finishes
-/// each write (heuristic decision, window checks, cell updates) per lane.
-/// A lane that reaches a control-flow boundary — death, revival,
-/// fast-forward, rotation, relocation — peels out of the round, replays
-/// the scalar boundary logic, and rejoins at its next sampled write.
-///
-/// Record `i` is byte-identical to `simulate_line_with(cfg, seeds[i], ..)`
-/// because compression is a pure function of the line data and every
-/// stateful step runs per lane in scalar program order; the differential
-/// tests in the `lockstep` module and the campaign suite pin this.
-///
-/// # Panics
-///
-/// Panics if more than [`pcm_util::BATCH_LANES`] seeds are passed.
-pub fn simulate_line_batch(
-    cfg: &LineSimConfig,
-    seeds: &[u64],
-    scratch: &mut LineScratch,
-) -> Vec<LineRecord> {
-    super::lockstep::simulate_line_batch_lockstep(cfg, seeds, scratch).0
 }
 
 #[cfg(test)]

@@ -26,13 +26,10 @@
 
 pub mod campaign;
 pub mod linesim;
-pub(crate) mod lockstep;
 pub mod mix;
 pub mod replay;
 
 pub use campaign::{run_campaign, run_campaign_on, CampaignConfig, LifetimeResult};
-pub use linesim::{
-    simulate_line, simulate_line_batch, simulate_line_with, LineRecord, LineScratch, LineSimConfig,
-};
+pub use linesim::{simulate_line, simulate_line_with, LineRecord, LineScratch, LineSimConfig};
 pub use mix::{run_mixed_campaign, WorkloadMix};
 pub use replay::{replay_to_failure, ReplayConfig, ReplayResult};

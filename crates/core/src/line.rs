@@ -237,7 +237,7 @@ const NO_PLAN: u16 = u16::MAX;
 ///
 /// The epoch is `faults().count()`. Faults are insert-only, and the count
 /// also sees cells killed by fast-forward wear
-/// ([`ManagedLine::add_wear_bulk`]), which a counter bumped by writes
+/// ([`ManagedLine::fast_forward`]), which a counter bumped by writes
 /// alone would miss. Every entry depends on fault *positions* only; the
 /// data-dependent encode (inversion bits, ECP replacement bits, the
 /// coset tag) stays per write. Packed into 16 bytes so the per-line state
@@ -443,16 +443,17 @@ impl ManagedLine {
         self.meta_updates
     }
 
-    /// Fast-forwards wear (accelerated lifetime engine); see
-    /// [`LineWear::add_wear`].
-    pub fn add_wear(&mut self, pos: usize, events: u32) -> Option<pcm_util::StuckAt> {
-        self.wear.add_wear(pos, events)
-    }
-
-    /// Fast-forwards wear on every bit at once; see
-    /// [`LineWear::add_wear_bulk`].
-    pub fn add_wear_bulk(&mut self, grants: &[u32; pcm_util::DATA_BITS]) {
-        self.wear.add_wear_bulk(grants)
+    /// Fast-forwards the rest of a sampled segment (accelerated lifetime
+    /// engine) and returns the writes replayed; see
+    /// [`LineWear::fast_forward`].
+    pub fn fast_forward(
+        &mut self,
+        counts: &[u32; pcm_util::DATA_BITS],
+        touched: &Line512,
+        done: u64,
+        extra: u64,
+    ) -> u64 {
+        self.wear.fast_forward(counts, touched, done, extra)
     }
 
     /// Checks whether a payload of `len` bytes could be stored (used for
@@ -1136,15 +1137,21 @@ mod tests {
                         // Fast-forward wear between writes, as the campaign
                         // engine does: it creates faults no write reports.
                         if w % 8 == 7 {
-                            let mut grants = [0u32; pcm_util::DATA_BITS];
-                            for g in grants.iter_mut() {
+                            let mut counts = [0u32; pcm_util::DATA_BITS];
+                            let mut touched = Line512::zero();
+                            for (pos, c) in counts.iter_mut().enumerate() {
                                 if rng.random_ratio(1, 4) {
-                                    *g = rng.random_range(0..40);
+                                    *c = rng.random_range(1..=8);
+                                    touched.set_bit(pos, true);
                                 }
                             }
                             let before = line.faults().count();
-                            line.add_wear_bulk(&grants);
-                            twin.wear.add_wear_bulk(&grants);
+                            let extra = line.fast_forward(&counts, &touched, 8, 400);
+                            assert_eq!(
+                                twin.wear.fast_forward(&counts, &touched, 8, 400),
+                                extra,
+                                "{ctx}"
+                            );
                             injected += line.faults().count() - before;
                             assert_eq!(line.faults(), twin.wear.faults(), "{ctx}");
                         }

@@ -283,11 +283,6 @@ impl LineWear {
         self.endurance[c].saturating_sub(self.wear[c])
     }
 
-    /// Sampled endurance of the cell backing bit `pos`.
-    pub fn endurance_of(&self, pos: usize) -> u32 {
-        self.endurance[self.cell_of(pos)]
-    }
-
     /// Accumulated programming events of the cell backing bit `pos`.
     pub fn wear_of(&self, pos: usize) -> u32 {
         self.wear[self.cell_of(pos)]
@@ -429,8 +424,8 @@ impl LineWear {
     /// Fast-forwards wear on a cell by `events` programming events without
     /// changing its stored value, returning the fault if it fails.
     ///
-    /// The accelerated lifetime engine uses this to skip millions of
-    /// identical trace passes.
+    /// This is the per-cell semantic of the accelerated lifetime engine's
+    /// segment replay, [`Self::fast_forward`].
     ///
     /// # Panics
     ///
@@ -469,79 +464,90 @@ impl LineWear {
         (0..DATA_BITS).map(|p| self.remaining(p)).max().unwrap_or(0)
     }
 
-    /// Projects the write count at which proportional wear replay first
-    /// kills a cell.
+    /// Fast-forwards the rest of a sampled segment onto the wear counters
+    /// and returns the number of writes it replayed.
     ///
-    /// The accelerated lifetime engine observes per-bit flip `counts`
-    /// over `done` sampled writes and then replays the rest of a segment
-    /// analytically: bit `pos` is charged `counts[pos] * extra / done`
-    /// further programming events. This scans every worn, healthy cell
-    /// and tightens `extra` to the earliest write at which one of them is
-    /// projected to exceed its endurance, so the caller never overshoots
-    /// a death inside a fast-forwarded span. Bulk twin of the per-cell
-    /// bound the engine previously computed through [`Self::remaining`];
-    /// the whole scan stays inside this line's slices.
+    /// The accelerated lifetime engine samples `done` real writes whose
+    /// per-bit flip counts are `counts` (nonzero exactly on `touched`, the
+    /// OR of their flip masks) and replays up to `extra` further writes
+    /// analytically: bit `pos` is charged `round(counts[pos] * extra /
+    /// done)` programming events. One walk over the touched, healthy bits
+    /// first caps `extra` at the earliest write at which one of their
+    /// cells is projected to exceed its endurance, so the replay never
+    /// overshoots a death inside the span; a second walk applies the
+    /// grants in ascending bit order with [`Self::add_wear`]'s semantics (a
+    /// cell pushed past its endurance sticks every bit it backs at its
+    /// stored value). A failure granted here lands exactly on the capped
+    /// boundary, and the next sampled write discovers it. Untouched cells
+    /// cannot change, so the cost scales with `touched`, not with the
+    /// line; only the SLC slack bound is recomputed over all 512 lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `done` is zero (there is no flip profile to scale).
-    pub fn project_first_failure(&self, counts: &[u32; DATA_BITS], done: u64, extra: u64) -> u64 {
+    /// Panics if `done` or `extra` is zero.
+    pub fn fast_forward(
+        &mut self,
+        counts: &[u32; DATA_BITS],
+        touched: &Line512,
+        done: u64,
+        extra: u64,
+    ) -> u64 {
         assert!(done > 0, "cannot project wear from zero sampled writes");
-        let healthy = !self.faults.positions();
+        assert!(extra > 0, "nothing to fast-forward");
+        let bpc = self.tech.bits_per_cell();
+        let live = *touched & !self.faults.positions();
         let mut extra = extra;
-        let slc = self.tech == CellTech::Slc;
-        for (pos, &c) in counts.iter().enumerate() {
-            if c == 0 || !healthy.bit(pos) {
-                continue;
-            }
-            let cell = if slc { pos } else { self.cell_of(pos) };
-            let remaining = self.endurance[cell].saturating_sub(self.wear[cell]);
+        for pos in live.iter_ones() {
             // The cell survives `remaining` more events and fails on the
             // next; at `c` events per `done` writes that is
-            // `ceil(scaled_events / c)` writes. Divide only on strict
-            // improvements of the running bound (it is monotone, so that
-            // is a handful of divisions per call).
-            let events_to_fail = remaining as u64 + 1;
-            let scaled_events = events_to_fail.saturating_mul(done);
-            if scaled_events <= (extra - 1).saturating_mul(c as u64) {
-                extra = extra.min(scaled_events.div_ceil(c as u64));
+            // `ceil((remaining + 1) * done / c)` writes. Divide only on
+            // strict improvements of the running bound.
+            let c = counts[pos] as u64;
+            let cell = pos / bpc;
+            let remaining = self.endurance[cell].saturating_sub(self.wear[cell]);
+            let scaled_events = (remaining as u64 + 1).saturating_mul(done);
+            if scaled_events <= (extra - 1).saturating_mul(c) {
+                extra = scaled_events.div_ceil(c);
             }
         }
-        extra
-    }
-
-    /// Fast-forwards wear on every bit at once: bit `pos` absorbs
-    /// `grants[pos]` programming events (zero grants and stuck bits are
-    /// skipped), and each cell pushed past its endurance sticks at its
-    /// current stored value, exactly as [`Self::add_wear`] would
-    /// position-by-position in ascending order. One slack-bound
-    /// recomputation at the end replaces 512 conservative decrements.
-    pub fn add_wear_bulk(&mut self, grants: &[u32; DATA_BITS]) {
-        if self.tech != CellTech::Slc {
-            // MLC shares cells between bits; keep the reference per-bit
-            // semantics (fault spread across the cell's bits).
-            for (pos, &g) in grants.iter().enumerate() {
-                if g > 0 {
-                    let _ = self.add_wear(pos, g);
-                }
-            }
-            return;
-        }
-        for (pos, &g) in grants.iter().enumerate() {
-            if g == 0 || self.faults.is_faulty(pos) {
+        // The grant depends only on the flip count `c` (extra and done are
+        // fixed for the segment), and sampled counts rarely exceed 64, so a
+        // small memo table replaces most per-cell f64 divides.
+        let scale = |c: u32| ((c as u64 * extra) as f64 / done as f64).round() as u32;
+        let mut memo: [Option<u32>; 65] = [None; 65];
+        for pos in live.iter_ones() {
+            // An MLC cell killed by its sibling bit's grant froze this bit.
+            if self.faults.is_faulty(pos) {
                 continue;
             }
-            self.wear[pos] = self.wear[pos].saturating_add(g);
-            if self.wear[pos] > self.endurance[pos] {
-                self.faults.insert(StuckAt {
-                    pos: pos as u16,
-                    value: self.stored.bit(pos),
-                });
+            let c = counts[pos];
+            let grant = match memo.get_mut(c as usize) {
+                Some(slot) => *slot.get_or_insert_with(|| scale(c)),
+                None => scale(c),
+            };
+            if grant == 0 {
+                continue;
+            }
+            let cell = pos / bpc;
+            self.wear[cell] = self.wear[cell].saturating_add(grant);
+            if self.wear[cell] > self.endurance[cell] {
+                for bit in cell * bpc..(cell + 1) * bpc {
+                    if !self.faults.is_faulty(bit) {
+                        self.faults.insert(StuckAt {
+                            pos: bit as u16,
+                            value: self.stored.bit(bit),
+                        });
+                    }
+                }
             }
         }
-        let healthy = !self.faults.positions();
-        self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
-        self.slack_stale = false;
+        // MLC writes never read the bound (the per-bit path keeps it 0).
+        if self.tech == CellTech::Slc {
+            let healthy = !self.faults.positions();
+            self.slack = simd::min_remaining(&self.wear, &self.endurance, &healthy.words());
+            self.slack_stale = false;
+        }
+        extra
     }
 }
 

@@ -9,11 +9,18 @@
 //! the documented semantics, over long write/fast-forward sequences that
 //! drive cells through death (the only events where the fast path, the
 //! stale-bound recomputation, and the fault materialization interact).
+//! The lifetime engine's segment fast-forward (`LineWear::fast_forward`)
+//! must match the projection → grants → per-bit `add_wear` sequence it
+//! fuses, for SLC and MLC lines alike.
 
-use pcm_device::{diff_write, diff_write_batch, flip_n_write_batch, FlipNWrite, LineWear};
+use pcm_device::{
+    diff_write, diff_write_batch, flip_n_write_batch, CellTech, EnduranceModel, FlipNWrite,
+    LineWear,
+};
 use pcm_util::simd::{LineBatch64, BATCH_LANES};
-use pcm_util::{Line512, DATA_BITS};
+use pcm_util::{seeded_rng, Line512, DATA_BITS};
 use proptest::prelude::*;
+use rand::RngExt;
 
 fn arb_line() -> impl Strategy<Value = Line512> {
     prop::array::uniform8(any::<u64>()).prop_map(Line512::from_words)
@@ -214,75 +221,68 @@ proptest! {
         assert_state_matches(&line, &model)?;
     }
 
-    /// `add_wear_bulk` equals the ascending per-position `add_wear` loop
-    /// it replaces, including the faults each one materializes.
+    /// `fast_forward` equals the sequence it fuses: the closed-form first
+    /// projected failure over the touched, healthy cells, then grants of
+    /// `round(c * extra / done)` applied by ascending per-bit `add_wear`.
+    /// It covers both cell technologies on lines whose cells sit 0–2
+    /// events from death, with stuck cells inside `touched`, and `done`
+    /// both inside the grant memo table (1..=64) and past it. Follow-up
+    /// writes check the recomputed slack bound: a bound set too high
+    /// would let a write skip a death that the reference reports.
     #[test]
-    fn add_wear_bulk_matches_sequence(
-        endurance in prop::collection::vec(0u32..6, DATA_BITS),
-        seed_writes in prop::collection::vec(arb_line(), 0..4),
-        grant_list in prop::collection::vec((0..DATA_BITS, 1u32..5), 0..80),
+    fn fast_forward_matches_projection_then_add_wear(
+        mlc in any::<bool>(),
+        seed in any::<u64>(),
+        prior_writes in prop::collection::vec(arb_line(), 0..4),
+        prior_wear in prop::collection::vec((0..DATA_BITS, 0u32..4), 0..64),
+        touched in arb_line(),
+        done in prop_oneof![1u64..=64, Just(100u64)],
+        extra in 1u64..300,
     ) {
-        let mut bulk = LineWear::with_endurance(endurance);
-        for target in &seed_writes {
-            bulk.write(target);
-        }
-        let mut seq = bulk.clone();
-        let mut grants = [0u32; DATA_BITS];
-        for &(pos, g) in &grant_list {
-            grants[pos] = grants[pos].saturating_add(g);
-        }
-        bulk.add_wear_bulk(&grants);
-        for (pos, &g) in grants.iter().enumerate() {
-            if g > 0 {
-                let _ = seq.add_wear(pos, g);
-            }
-        }
-        // `PartialEq` covers tech, endurance, wear, stored, and faults
-        // (the slack cache is deliberately excluded).
-        prop_assert_eq!(&bulk, &seq);
-        // And the fast path must still be sound afterwards: more writes
-        // agree too.
-        let target = Line512::ones();
-        prop_assert_eq!(bulk.write(&target), seq.write(&target));
-    }
-
-    /// `project_first_failure` equals the closed-form minimum over all
-    /// healthy profiled cells of the first write count whose scaled
-    /// replay kills the cell.
-    #[test]
-    fn project_first_failure_matches_bruteforce(
-        endurance in prop::collection::vec(0u32..40, DATA_BITS),
-        seed_writes in prop::collection::vec(arb_line(), 1..4),
-        count_list in prop::collection::vec((0..DATA_BITS, 1u32..6), 1..60),
-        done in 1u64..200,
-        extra in 1u64..10_000,
-    ) {
-        let mut line = LineWear::with_endurance(endurance);
-        for target in &seed_writes {
+        let tech = if mlc { CellTech::Mlc2 } else { CellTech::Slc };
+        let mut rng = seeded_rng(seed);
+        let mut line = LineWear::sample_with_tech(&EnduranceModel::new(5.0, 0.4), tech, &mut rng);
+        for target in &prior_writes {
             line.write(target);
         }
-        let mut counts = [0u32; DATA_BITS];
-        for &(pos, c) in &count_list {
-            counts[pos] = counts[pos].saturating_add(c);
+        for &(pos, events) in &prior_wear {
+            let _ = line.add_wear(pos, events);
         }
-        let got = line.project_first_failure(&counts, done, extra);
-        // Reference: cell `pos` (healthy, profiled) survives `remaining`
-        // more events and dies on the next; at `c` events per `done`
-        // writes the first fatal write count is
-        // ceil((remaining + 1) * done / c). The projection is the
-        // minimum over cells, capped at the requested span.
-        let want = (0..DATA_BITS)
-            .filter(|&pos| counts[pos] > 0 && !line.faults().is_faulty(pos))
+        let mut counts = [0u32; DATA_BITS];
+        for pos in touched.iter_ones() {
+            counts[pos] = rng.random_range(1..=done as u32);
+        }
+
+        // Reference: cell `pos` survives `remaining` more events and dies
+        // on the next, so at `c` events per `done` writes its first fatal
+        // write is ceil((remaining + 1) * done / c); the span is capped at
+        // the minimum over touched, healthy bits.
+        let cap = touched
+            .iter_ones()
+            .filter(|&pos| !line.faults().is_faulty(pos))
             .map(|pos| {
-                let remaining =
-                    line.endurance_of(pos).saturating_sub(line.wear_of(pos)) as u64;
-                (remaining + 1)
+                (line.remaining(pos) as u64 + 1)
                     .saturating_mul(done)
                     .div_ceil(counts[pos] as u64)
             })
             .min()
             .map_or(extra, |first_fatal| extra.min(first_fatal));
-        prop_assert_eq!(got, want);
+        let mut want = line.clone();
+        for pos in touched.iter_ones() {
+            let grant = ((counts[pos] as u64 * cap) as f64 / done as f64).round() as u32;
+            if grant > 0 {
+                let _ = want.add_wear(pos, grant);
+            }
+        }
+
+        prop_assert_eq!(line.fast_forward(&counts, &touched, done, extra), cap);
+        // `PartialEq` covers tech, endurance, wear, stored, and faults
+        // (the slack cache is deliberately excluded).
+        prop_assert_eq!(&line, &want);
+        for target in [Line512::ones(), Line512::zero(), Line512::ones()] {
+            prop_assert_eq!(line.write(&target), want.write(&target));
+        }
+        prop_assert_eq!(&line, &want);
     }
 }
 

@@ -188,7 +188,7 @@ impl FrameDecoder {
     }
 
     /// Bytes currently buffered but not yet consumed.
-    pub fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.buf.len() - self.pos
     }
 

@@ -115,20 +115,6 @@ impl LineBatch64 {
         lane
     }
 
-    /// Empties the batch for reuse, zeroing only the lanes that were
-    /// live so dead lanes keep the all-zero invariant the whole-plane
-    /// kernels rely on. Much cheaper than a fresh [`LineBatch64::new`]
-    /// when a batch is refilled at low occupancy across many rounds
-    /// (the lockstep drivers do exactly that).
-    #[inline]
-    pub fn clear(&mut self) {
-        let n = self.len();
-        for plane in self.planes.iter_mut() {
-            plane[..n].fill(0);
-        }
-        self.live = 0;
-    }
-
     /// Number of live lanes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -391,93 +377,6 @@ pub fn min_remaining(wear: &[u32], endurance: &[u32], healthy: &[u64; 8]) -> u32
     scalar::min_remaining(wear, endurance, healthy)
 }
 
-/// A carry-save accumulator of 512-bit masks: the bit-plane (within-line
-/// struct-of-arrays) half of the batch-kernel design.
-///
-/// Where [`mask_accumulate`] walks 512 u32 counters per mask, this folds
-/// each mask into six bit *planes* (plane `j`, word `w` holds bit `j` of
-/// the running per-cell count for cells `64w..64w+64`) with a half-adder
-/// carry chain — a handful of u64 ops per mask, independent of how many
-/// bits are set. [`Self::drain_into`] materializes the planes into the
-/// real counter array; it runs automatically when the 6-bit planes would
-/// overflow (every 63 masks), so the amortized cost per mask stays tiny.
-/// Pure u64 SWAR: the same code is the fast path in both builds.
-#[derive(Debug, Clone, Default)]
-pub struct MaskAccumulator {
-    planes: [[u64; WORDS]; 6],
-    pending: u32,
-}
-
-impl MaskAccumulator {
-    /// Masks the planes can absorb before [`Self::accumulate`] must drain.
-    pub const CAPACITY: u32 = 63;
-
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        MaskAccumulator::default()
-    }
-
-    /// Number of masks folded in since the last drain.
-    pub fn pending(&self) -> u32 {
-        self.pending
-    }
-
-    /// Folds one mask in, draining into `counts` first if the planes are
-    /// full. Equivalent to `mask_accumulate(counts, mask)` once a final
-    /// [`Self::drain_into`] lands the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() < 512`.
-    #[inline]
-    pub fn accumulate(&mut self, counts: &mut [u32], mask: &[u64; 8]) {
-        if self.pending == Self::CAPACITY {
-            self.drain_into(counts);
-        }
-        for (w, &m) in mask.iter().enumerate() {
-            let mut carry = m;
-            for plane in &mut self.planes {
-                if carry == 0 {
-                    break;
-                }
-                let sum = plane[w] ^ carry;
-                carry &= plane[w];
-                plane[w] = sum;
-            }
-            debug_assert_eq!(carry, 0, "plane overflow despite capacity drain");
-        }
-        self.pending += 1;
-    }
-
-    /// Adds the planes' per-cell counts into `counts` and resets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() < 512`.
-    pub fn drain_into(&mut self, counts: &mut [u32]) {
-        assert!(counts.len() >= DATA_BITS, "counter array shorter than line");
-        for w in 0..WORDS {
-            let mut touched = 0u64;
-            for plane in &self.planes {
-                touched |= plane[w];
-            }
-            while touched != 0 {
-                let tz = touched.trailing_zeros() as usize;
-                touched &= touched - 1;
-                let mut v = 0u32;
-                for (j, plane) in self.planes.iter().enumerate() {
-                    v |= (((plane[w] >> tz) & 1) as u32) << j;
-                }
-                counts[w * 64 + tz] += v;
-            }
-            for plane in &mut self.planes {
-                plane[w] = 0;
-            }
-        }
-        self.pending = 0;
-    }
-}
-
 /// Reference implementations: the single source of truth for kernel
 /// semantics. The dispatch wrappers above and the vector variants must be
 /// byte-identical to these — `crates/util/tests/simd_equiv.rs` holds the
@@ -571,17 +470,24 @@ pub mod scalar {
     /// See [`super::min_remaining`].
     #[inline]
     pub fn min_remaining(wear: &[u32], endurance: &[u32], healthy: &[u64; 8]) -> u32 {
-        let mut min = u32::MAX;
-        for (w, &m) in healthy.iter().enumerate() {
-            let mut bits = m;
-            while bits != 0 {
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let pos = w * 64 + tz;
-                min = min.min(endurance[pos].saturating_sub(wear[pos]));
+        // Branch-free over all 512 lanes, 32 at a time: an unhealthy lane
+        // is forced to `u32::MAX` so it never wins. A healthy set is
+        // usually nearly full, so this beats walking its set bits.
+        let mut lanes = [u32::MAX; 32];
+        for (h, half) in healthy
+            .iter()
+            .flat_map(|&m| [m as u32, (m >> 32) as u32])
+            .enumerate()
+        {
+            let base = h * 32;
+            let (e, w) = (&endurance[base..base + 32], &wear[base..base + 32]);
+            for lane in 0..32 {
+                let r = e[lane].saturating_sub(w[lane]);
+                let r = if half & (1 << lane) != 0 { r } else { u32::MAX };
+                lanes[lane] = lanes[lane].min(r);
             }
         }
-        min
+        lanes.into_iter().min().unwrap_or(u32::MAX)
     }
 
     /// See [`super::batch_window_popcount`] (mask already expanded).
@@ -817,44 +723,6 @@ mod tests {
     fn push_rejects_overfull_batch() {
         let mut batch = LineBatch64::from_lines(&[Line512::zero(); 64]);
         batch.push(&Line512::zero());
-    }
-
-    #[test]
-    fn clear_preserves_the_dead_lane_invariant() {
-        // A cleared-then-refilled batch must be indistinguishable from a
-        // fresh one, including the all-zero dead lanes the whole-plane
-        // kernels rely on — even when the refill is narrower than the
-        // previous occupancy.
-        let mut rng = seeded_rng(72);
-        let wide: Vec<Line512> = (0..64).map(|_| random_line(&mut rng)).collect();
-        let narrow: Vec<Line512> = (0..3).map(|_| random_line(&mut rng)).collect();
-        let mut reused = LineBatch64::from_lines(&wide);
-        reused.clear();
-        assert_eq!(reused.len(), 0);
-        for line in &narrow {
-            reused.push(line);
-        }
-        let fresh = LineBatch64::from_lines(&narrow);
-        assert_eq!(reused.to_lines(), fresh.to_lines());
-        assert_eq!(reused.live_mask(), fresh.live_mask());
-        assert_eq!(batch_popcount(&reused), batch_popcount(&fresh));
-    }
-
-    #[test]
-    fn mask_accumulator_matches_direct_accumulation() {
-        let mut rng = seeded_rng(72);
-        let mut direct = [0u32; DATA_BITS];
-        let mut planes = [0u32; DATA_BITS];
-        let mut acc = MaskAccumulator::new();
-        // 150 masks force two automatic capacity drains along the way.
-        for _ in 0..150 {
-            let words = random_line(&mut rng).words();
-            mask_accumulate(&mut direct, &words);
-            acc.accumulate(&mut planes, &words);
-        }
-        acc.drain_into(&mut planes);
-        assert_eq!(planes, direct);
-        assert_eq!(acc.pending(), 0);
     }
 
     #[test]
